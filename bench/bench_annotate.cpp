@@ -21,7 +21,6 @@
 #include "storage/annotate_kernels.h"
 #include "storage/annotator.h"
 #include "storage/datasets.h"
-#include "storage/parallel_annotator.h"
 #include "storage/predicate.h"
 #include "util/cpu_features.h"
 #include "util/rng.h"
@@ -138,9 +137,7 @@ ScenarioResult RunScenario(const storage::Table& table,
   result.fused_simd_s =
       TimeSeconds(repeats, [&] { FusedCount(table, preds, simd); });
 
-  util::ParallelConfig pool_config;
-  pool_config.threads = 0;  // whole pool
-  storage::ParallelAnnotator parallel(&table, pool_config);
+  storage::Annotator parallel(&table, /*threads=*/0);  // whole pool
   result.exact = result.exact && parallel.BatchCount(preds) == want;
   result.fused_simd_threads_s =
       TimeSeconds(repeats, [&] { parallel.BatchCount(preds); });

@@ -1,8 +1,8 @@
 // Microbenchmark for the parallel kernels: nn::Matrix MatMul and
-// storage::ParallelAnnotator batch annotation, serial vs. the shared thread
-// pool. Emits one JSON document on stdout so CI can track speedups, and
-// verifies that every parallel result is bit-identical to its serial
-// counterpart (the deterministic=true contract).
+// storage::Annotator batch annotation, serial vs. the shared thread pool.
+// Emits one JSON document on stdout so CI can track speedups, and verifies
+// that every parallel result is bit-identical to its serial counterpart
+// (the deterministic=true contract).
 //
 // Expected shape: ≥2× MatMul / annotation speedup on 4+ cores; ~1× (and a
 // small dispatch overhead) on a single-core host, where ParallelFor stays
@@ -17,7 +17,6 @@
 #include "core/config.h"
 #include "nn/matrix.h"
 #include "storage/annotator.h"
-#include "storage/parallel_annotator.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -111,7 +110,7 @@ KernelRow BenchAnnotation(size_t rows, size_t num_preds, int repeats) {
 
   util::ParallelConfig parallel;
   core::ApplyParallelConfig(parallel);
-  storage::ParallelAnnotator parallel_annotator(&table, parallel);
+  storage::Annotator parallel_annotator(&table, /*threads=*/0);
   std::vector<int64_t> parallel_counts = parallel_annotator.BatchCount(preds);
   row.parallel_ms =
       TimeMedianMs(repeats, [&] { parallel_annotator.BatchCount(preds); });

@@ -3,28 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
-#include "storage/parallel_annotator.h"
 #include "util/status.h"
 
 namespace warper::ce {
 
 // --- QueryDomain ---
 
-std::vector<int64_t> QueryDomain::AnnotateBatch(
-    const std::vector<std::vector<double>>& features) const {
-  return annotation_strategy_->AnnotateBatch(*this, features);
-}
-
-void QueryDomain::SetAnnotationStrategy(
-    std::shared_ptr<const AnnotationStrategy> strategy) {
-  annotation_strategy_ =
-      strategy ? std::move(strategy) : SerialAnnotation::Instance();
-}
-
 std::vector<int64_t> QueryDomain::AnnotateBatchParallel(
     const std::vector<std::vector<double>>& features,
-    const util::ParallelConfig& config) const {
-  (void)config;  // domains without a parallel substrate stay serial
+    const util::ParallelConfig& /*config*/) const {
   return AnnotateBatchSerial(features);
 }
 
@@ -68,16 +55,6 @@ std::vector<int64_t> SingleTableDomain::AnnotateBatchSerial(
   preds.reserve(features.size());
   for (const auto& f : features) preds.push_back(DecodePredicate(f));
   return annotator_->BatchCount(preds);
-}
-
-std::vector<int64_t> SingleTableDomain::AnnotateBatchParallel(
-    const std::vector<std::vector<double>>& features,
-    const util::ParallelConfig& config) const {
-  std::vector<storage::RangePredicate> preds;
-  preds.reserve(features.size());
-  for (const auto& f : features) preds.push_back(DecodePredicate(f));
-  annotator_->RecordAnnotations(static_cast<int64_t>(preds.size()));
-  return storage::ParallelAnnotator(&table(), config).BatchCount(preds);
 }
 
 int64_t SingleTableDomain::MaxCardinality() const {
@@ -171,15 +148,6 @@ std::vector<int64_t> StarJoinDomain::AnnotateBatchSerial(
   queries.reserve(features.size());
   for (const auto& f : features) queries.push_back(DecodeQuery(f));
   return annotator_->BatchCount(queries);
-}
-
-std::vector<int64_t> StarJoinDomain::AnnotateBatchParallel(
-    const std::vector<std::vector<double>>& features,
-    const util::ParallelConfig& config) const {
-  std::vector<storage::JoinQuery> queries;
-  queries.reserve(features.size());
-  for (const auto& f : features) queries.push_back(DecodeQuery(f));
-  return annotator_->BatchCountParallel(queries, config);
 }
 
 int64_t StarJoinDomain::MaxCardinality() const {

@@ -12,11 +12,9 @@
 #define WARPER_CE_QUERY_DOMAIN_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "ce/annotation_strategy.h"
 #include "storage/annotator.h"
 #include "storage/join_annotator.h"
 #include "storage/predicate.h"
@@ -26,7 +24,6 @@ namespace warper::ce {
 
 class QueryDomain {
  public:
-  QueryDomain() : annotation_strategy_(SerialAnnotation::Instance()) {}
   virtual ~QueryDomain() = default;
 
   virtual std::string Name() const = 0;
@@ -49,34 +46,24 @@ class QueryDomain {
   // Ground-truth cardinality of the query encoded by `features`.
   virtual int64_t Annotate(const std::vector<double>& features) const = 0;
 
-  // Batch annotation, executed by the installed annotation strategy
-  // (serial by default; see SetAnnotationStrategy).
+  // Batch annotation; lands in AnnotateBatchSerial, the substrate's native
+  // batch path. A single-table domain runs it on the storage::Annotator it
+  // holds, so an annotator built with threads != 1 fans out here.
   std::vector<int64_t> AnnotateBatch(
-      const std::vector<std::vector<double>>& features) const;
-
-  // Installs the execution strategy for AnnotateBatch. A null strategy
-  // restores the serial default. The strategy is shared and const, so one
-  // instance may serve many domains.
-  void SetAnnotationStrategy(
-      std::shared_ptr<const AnnotationStrategy> strategy);
-  const AnnotationStrategy& annotation_strategy() const {
-    return *annotation_strategy_;
+      const std::vector<std::vector<double>>& features) const {
+    return AnnotateBatchSerial(features);
   }
-
-  // Strategy hooks: the substrate's native single-threaded batch path, and
-  // its pool-parallel counterpart (defaults to the serial path for domains
-  // without one). Both must return bit-identical counts.
   virtual std::vector<int64_t> AnnotateBatchSerial(
       const std::vector<std::vector<double>>& features) const = 0;
+  // Forwards to AnnotateBatchSerial; nothing in the library calls it. It
+  // stays virtual only because the benchmark's timing decorator
+  // (perfbench/native/timed.h, TimedDomain) overrides it.
   virtual std::vector<int64_t> AnnotateBatchParallel(
       const std::vector<std::vector<double>>& features,
       const util::ParallelConfig& config) const;
 
   // Total rows in the (center) relation — the upper bound on cardinality.
   virtual int64_t MaxCardinality() const = 0;
-
- private:
-  std::shared_ptr<const AnnotationStrategy> annotation_strategy_;
 };
 
 // Range predicates over one table. Features are the LM featurization
@@ -93,10 +80,6 @@ class SingleTableDomain : public QueryDomain {
   int64_t Annotate(const std::vector<double>& features) const override;
   std::vector<int64_t> AnnotateBatchSerial(
       const std::vector<std::vector<double>>& features) const override;
-  // Routes through storage::ParallelAnnotator's sliced table scan.
-  std::vector<int64_t> AnnotateBatchParallel(
-      const std::vector<std::vector<double>>& features,
-      const util::ParallelConfig& config) const override;
   int64_t MaxCardinality() const override;
 
   const storage::Table& table() const { return annotator_->table(); }
@@ -126,10 +109,6 @@ class StarJoinDomain : public QueryDomain {
   int64_t Annotate(const std::vector<double>& features) const override;
   std::vector<int64_t> AnnotateBatchSerial(
       const std::vector<std::vector<double>>& features) const override;
-  // Fans the independent join queries out across the shared pool.
-  std::vector<int64_t> AnnotateBatchParallel(
-      const std::vector<std::vector<double>>& features,
-      const util::ParallelConfig& config) const override;
   int64_t MaxCardinality() const override;
 
   std::vector<double> FeaturizeQuery(const storage::JoinQuery& query) const;

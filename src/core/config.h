@@ -26,7 +26,9 @@ struct ServeConfig {
   // caller's thread against the current snapshot (the lock-free fast path).
   size_t batch_max = 32;
   // After the first request of a batch arrives, how long the dispatcher
-  // waits for more before running a partial batch.
+  // waits for more before running a partial batch. Thread-mode batchers
+  // (MicroBatcher::Start) only: pool-mode batchers never wait for
+  // stragglers, and every ServingFleet tenant runs in pool mode.
   int64_t batch_timeout_us = 200;
 
   // Admission control: bounded request queue, and what an arrival does when
@@ -183,9 +185,12 @@ struct WarperConfig {
   double ablation_noise_stddev = 0.1;
 
   // --- Parallel execution (tech report: "many calls can be parallelized") —
-  // one struct governs the shared thread pool, the nn::Matrix kernels and
-  // the batch-annotation fan-out. The default (threads = 0) uses every core;
-  // set threads = 1 for fully serial runs. `parallel.simd` picks the dense-
+  // one struct sizes the shared thread pool and picks the nn::Matrix and
+  // annotation kernels. The default (threads = 0) uses every core; set
+  // threads = 1 for fully serial runs. Warper annotates through whatever
+  // storage::Annotator its domain holds: one built with threads = 1 (the
+  // default) scans on the calling thread, one built with threads != 1 fans
+  // out on the pool sized here. `parallel.simd` picks the dense-
   // kernel instruction set: with the default (kAuto + deterministic=true)
   // the scalar reference kernels run, bit-exact across machines; set
   // deterministic=false to let adaptation episodes use the AVX2+FMA kernels

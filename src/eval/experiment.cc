@@ -15,7 +15,6 @@
 #include "drift/schedule.h"
 #include "storage/annotator.h"
 #include "storage/data_drift.h"
-#include "storage/parallel_annotator.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -367,7 +366,7 @@ DriftExperimentResult RunSingleTableDrift(const SingleTableDriftSpec& spec) {
       // Canary re-counting is pure telemetry; run it on the shared pool
       // (bit-identical to the serial pass).
       info->canary_shift = storage::CanaryShift(
-          storage::ParallelAnnotator(&table), canaries, baseline);
+          storage::Annotator(&table, /*threads=*/0), canaries, baseline);
     };
 
     // The onset event lands "overnight", before the post-drift test set is

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <string>
 #include <utility>
 
 #include "nn/matrix.h"
@@ -123,11 +122,7 @@ size_t MicroBatcher::ApproxQueueDepth() const {
 
 Result<EstimateResponse> MicroBatcher::EstimateDirect(
     const EstimateRequest& request) const {
-  if (request.features.size() != feature_dim_) {
-    return Status::InvalidArgument(
-        "Estimate: got " + std::to_string(request.features.size()) +
-        " features; domain expects " + std::to_string(feature_dim_));
-  }
+  WARPER_RETURN_NOT_OK(CheckFeatures(request.features, feature_dim_));
   std::shared_ptr<const ModelSnapshot> snap = store_->Current();
   if (snap == nullptr) {
     return Status::FailedPrecondition("no model snapshot published yet");
@@ -163,51 +158,9 @@ std::future<Result<EstimateResponse>> MicroBatcher::EstimateAsync(
   return failed.get_future();
 }
 
-// --- Deprecated positional shims: thin wrappers over the struct API. ---
-
-Result<double> MicroBatcher::Estimate(std::vector<double> features,
-                                      int64_t deadline_us) {
-  EstimateRequest request;
-  request.features = std::move(features);
-  request.deadline_us = deadline_us;
-  Result<EstimateResponse> response = Estimate(request);
-  if (!response.ok()) return response.status();
-  return response.ValueOrDie().estimate;
-}
-
-std::future<Result<double>> MicroBatcher::EstimateAsync(
-    std::vector<double> features, int64_t deadline_us) {
-  EstimateRequest request;
-  request.features = std::move(features);
-  request.deadline_us = deadline_us;
-  std::future<Result<EstimateResponse>> inner =
-      EstimateAsync(std::move(request));
-  // Deferred adapter, not a thread: the request is already enqueued above;
-  // get() on the returned future blocks on the inner one.
-  return std::async(std::launch::deferred,
-                    [f = std::move(inner)]() mutable -> Result<double> {
-                      Result<EstimateResponse> r = f.get();
-                      if (!r.ok()) return r.status();
-                      return r.ValueOrDie().estimate;
-                    });
-}
-
-Result<double> MicroBatcher::EstimateDirect(
-    const std::vector<double>& features) const {
-  EstimateRequest request;
-  request.features = features;
-  Result<EstimateResponse> response = EstimateDirect(request);
-  if (!response.ok()) return response.status();
-  return response.ValueOrDie().estimate;
-}
-
 Result<std::future<Result<EstimateResponse>>> MicroBatcher::Enqueue(
     EstimateRequest request, bool block_until_admitted) {
-  if (request.features.size() != feature_dim_) {
-    return Status::InvalidArgument(
-        "Estimate: got " + std::to_string(request.features.size()) +
-        " features; domain expects " + std::to_string(feature_dim_));
-  }
+  WARPER_RETURN_NOT_OK(CheckFeatures(request.features, feature_dim_));
   AdmissionController::Clock::time_point deadline =
       admission_.DeadlineFor(request.deadline_us);
   std::future<Result<EstimateResponse>> future;

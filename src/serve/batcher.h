@@ -43,7 +43,8 @@ class MicroBatcher {
  public:
   // `store` must outlive the batcher and have a snapshot published before
   // requests are served. `feature_dim` is the domain's featurization width;
-  // requests of any other width are refused before they can poison a batch.
+  // requests of any other width, or with a non-finite feature, are refused
+  // InvalidArgument before they can poison a batch.
   MicroBatcher(const core::ServeConfig& config, const SnapshotStore* store,
                size_t feature_dim);
   ~MicroBatcher();
@@ -83,16 +84,6 @@ class MicroBatcher {
   // any thread at any time after the first snapshot is published.
   WARPER_HOT_PATH Result<EstimateResponse> EstimateDirect(
       const EstimateRequest& request) const;
-
-  // --- Deprecated positional shims (pre-fleet API). ---
-  [[deprecated("use Estimate(const EstimateRequest&)")]]
-  Result<double> Estimate(std::vector<double> features,
-                          int64_t deadline_us = 0);
-  [[deprecated("use EstimateAsync(EstimateRequest)")]]
-  std::future<Result<double>> EstimateAsync(std::vector<double> features,
-                                            int64_t deadline_us = 0);
-  [[deprecated("use EstimateDirect(const EstimateRequest&)")]]
-  Result<double> EstimateDirect(const std::vector<double>& features) const;
 
   // Requests answered with an estimate since construction (all paths).
   // The serving fleet reads this as the executor's traffic signal.

@@ -4,15 +4,16 @@
 // EstimationServer or multi-tenant ServingFleet, blocking or async — takes
 // an EstimateRequest and yields an EstimateResponse. The struct form exists
 // so the surface can grow (tenant routing, deadlines, priorities, and
-// whatever comes next) without another positional-parameter migration; the
-// old Estimate(features, deadline_us) pair survives only as deprecated
-// shims over this API.
+// whatever comes next) without another positional-parameter migration.
 #ifndef WARPER_SERVE_REQUEST_H_
 #define WARPER_SERVE_REQUEST_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "util/status.h"
 
 namespace warper::serve {
 
@@ -41,6 +42,24 @@ struct EstimateResponse {
   // Echo of the request's tenant_id (the tenant that actually served it).
   uint64_t tenant_id = 0;
 };
+
+// The admission check every serving entry point runs before a request can
+// reach a batch or a template tracker: InvalidArgument unless `features` is
+// exactly `dim` wide and every entry is finite (a NaN feature would come
+// back as a NaN estimate).
+inline Status CheckFeatures(const std::vector<double>& features, size_t dim) {
+  if (features.size() != dim) {
+    return Status::InvalidArgument("got " + std::to_string(features.size()) +
+                                   " features; domain expects " +
+                                   std::to_string(dim));
+  }
+  for (double v : features) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("features must be finite");
+    }
+  }
+  return Status::OK();
+}
 
 // Per-tenant metric instance name: family "serve.tenant.<what>" plus the
 // tenant id, e.g. TenantMetricName("serve.tenant.rollbacks", 7) ==

@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <cmath>
 #include <utility>
 
 #include "ce/metrics.h"
@@ -135,35 +136,6 @@ std::future<Result<EstimateResponse>> EstimationServer::EstimateAsync(
   return batcher_->EstimateAsync(std::move(request));
 }
 
-// --- Deprecated positional shims: thin wrappers over the struct API. ---
-
-Result<double> EstimationServer::Estimate(std::vector<double> features,
-                                          int64_t deadline_us) {
-  EstimateRequest request;
-  request.tenant_id = options_.tenant_id;
-  request.features = std::move(features);
-  request.deadline_us = deadline_us;
-  Result<EstimateResponse> response = Estimate(request);
-  if (!response.ok()) return response.status();
-  return response.ValueOrDie().estimate;
-}
-
-std::future<Result<double>> EstimationServer::EstimateAsync(
-    std::vector<double> features, int64_t deadline_us) {
-  EstimateRequest request;
-  request.tenant_id = options_.tenant_id;
-  request.features = std::move(features);
-  request.deadline_us = deadline_us;
-  std::future<Result<EstimateResponse>> inner =
-      EstimateAsync(std::move(request));
-  return std::async(std::launch::deferred,
-                    [f = std::move(inner)]() mutable -> Result<double> {
-                      Result<EstimateResponse> r = f.get();
-                      if (!r.ok()) return r.status();
-                      return r.ValueOrDie().estimate;
-                    });
-}
-
 std::future<Result<AdaptationOutcome>> EstimationServer::SubmitInvocation(
     core::Warper::Invocation invocation) {
   {
@@ -199,9 +171,11 @@ Status EstimationServer::ReportObservation(const std::vector<double>& features,
       return Status::FailedPrecondition("EstimationServer is not running");
     }
   }
-  if (features.size() != warper_->domain()->FeatureDim()) {
+  WARPER_RETURN_NOT_OK(
+      CheckFeatures(features, warper_->domain()->FeatureDim()));
+  if (!std::isfinite(actual) || actual < 0.0) {
     return Status::InvalidArgument(
-        "ReportObservation: feature dim does not match the domain");
+        "ReportObservation: actual cardinality must be finite and >= 0");
   }
   // The error is measured against the snapshot serving right now — the
   // estimate the optimizer actually planned with — not against the warper's

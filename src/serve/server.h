@@ -100,14 +100,6 @@ class EstimationServer {
   Result<EstimateResponse> Estimate(const EstimateRequest& request);
   std::future<Result<EstimateResponse>> EstimateAsync(EstimateRequest request);
 
-  // --- Deprecated positional shims (pre-fleet API). ---
-  [[deprecated("use Estimate(const EstimateRequest&)")]]
-  Result<double> Estimate(std::vector<double> features,
-                          int64_t deadline_us = 0);
-  [[deprecated("use EstimateAsync(EstimateRequest)")]]
-  std::future<Result<double>> EstimateAsync(std::vector<double> features,
-                                            int64_t deadline_us = 0);
-
   // Hands an invocation to the background adaptation executor (shared or
   // private). The future resolves once the pass (including the
   // publish-or-rollback decision) completes. FailedPrecondition when the
@@ -140,7 +132,9 @@ class EstimationServer {
   // template tracker: the error recorded is against the CURRENT serving
   // snapshot's estimate, i.e. what the optimizer actually saw. Thread-safe;
   // callable from any thread while the server runs. FailedPrecondition when
-  // the server is not running, InvalidArgument on a feature-dim mismatch.
+  // the server is not running; InvalidArgument on a feature-dim mismatch, a
+  // non-finite feature, or an `actual` that is negative or non-finite (one
+  // such value would stick in the template's error EWMA for good).
   Status ReportObservation(const std::vector<double>& features, double actual);
   // The tenant's k worst templates (TemplateTracker::TopOffenders).
   std::vector<core::TemplateTracker::Offender> TopOffenders(size_t k) const {

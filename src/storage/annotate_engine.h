@@ -20,8 +20,8 @@
 // Counts are integer sums, so every path (scalar/AVX2 kernels, pruned or
 // not, serial or any row partition) is bit-identical to the seed scan.
 //
-// Used by Annotator, ParallelAnnotator and JoinAnnotator; callers outside
-// src/storage should use those classes.
+// Used by Annotator and JoinAnnotator; callers outside src/storage should
+// use those classes.
 #ifndef WARPER_STORAGE_ANNOTATE_ENGINE_H_
 #define WARPER_STORAGE_ANNOTATE_ENGINE_H_
 

@@ -70,6 +70,8 @@ std::atomic<const AnnotateKernelTable*> g_kernels{nullptr};
 
 const AnnotateKernelTable& ScalarAnnotateKernels() { return kScalarTable; }
 
+namespace {
+
 const AnnotateKernelTable& ResolveAnnotateKernels(
     const util::ParallelConfig& config) {
   util::SimdMode mode = config.simd;
@@ -110,6 +112,8 @@ const AnnotateKernelTable& ResolveAnnotateKernels(
   }
   return ScalarAnnotateKernels();
 }
+
+}  // namespace
 
 void SetAnnotateKernels(const util::ParallelConfig& config) {
   g_kernels.store(&ResolveAnnotateKernels(config), std::memory_order_release);

@@ -20,8 +20,7 @@
 // path. WARPER_SIMD=scalar|avx2|auto refines kAuto, and kScalar/kAvx2 pin a
 // path, exactly as in the nn dispatcher.
 //
-// Callers outside src/storage should use Annotator / ParallelAnnotator, not
-// this header.
+// Callers outside src/storage should use Annotator, not this header.
 #ifndef WARPER_STORAGE_ANNOTATE_KERNELS_H_
 #define WARPER_STORAGE_ANNOTATE_KERNELS_H_
 
@@ -59,16 +58,12 @@ const AnnotateKernelTable& ScalarAnnotateKernels();
 const AnnotateKernelTable& Avx2AnnotateKernels();
 bool Avx2AnnotateKernelsCompiled();
 
-// Resolves `config.simd` (plus the WARPER_SIMD env refinement of kAuto) to a
-// table. Counts are integer-exact on both paths, so kAuto ignores
-// `deterministic` and takes the best supported level; kAvx2 on hardware
-// without AVX2 falls back to scalar with a warning.
-const AnnotateKernelTable& ResolveAnnotateKernels(
-    const util::ParallelConfig& config);
-
-// Installs the process-wide table used by annotators constructed without an
-// explicit ParallelConfig (mirrors nn::SetMatrixParallelism; called from
-// core::ApplyParallelConfig).
+// Installs the process-wide table every annotator uses (mirrors
+// nn::SetMatrixParallelism; called from core::ApplyParallelConfig). Resolves
+// `config.simd` plus the WARPER_SIMD env refinement of kAuto. Counts are
+// integer-exact on both paths, so kAuto ignores `deterministic` and takes
+// the best supported level; kAvx2 on hardware without AVX2 falls back to
+// scalar with a warning.
 void SetAnnotateKernels(const util::ParallelConfig& config);
 
 // The installed table. Before any SetAnnotateKernels call this lazily

@@ -6,8 +6,14 @@
 // fused per-block engine (storage/annotate_engine.h): SIMD range kernels,
 // zone-map pruning, and all predicates evaluated per cache-resident block.
 // Count is a batch of one on the same path, so single-predicate and batched
-// annotation can never diverge. The optional CpuAccumulator feeds the cost
-// tables (Table 6 / Table 11).
+// annotation can never diverge.
+//
+// The pass runs on the calling thread by default. With `threads` = 0 (the
+// whole shared pool) or n > 1 (at most n-way) it splits whole zone blocks
+// over util::ThreadPool::Global() — the paper's "many calls can be
+// parallelized" — and sums the chunk tallies. Counts are integers and no
+// block is ever judged twice, so counts and every annotator.* counter are
+// identical at every thread count and on every kernel path.
 #ifndef WARPER_STORAGE_ANNOTATOR_H_
 #define WARPER_STORAGE_ANNOTATOR_H_
 
@@ -16,14 +22,14 @@
 
 #include "storage/predicate.h"
 #include "storage/table.h"
-#include "util/timer.h"
 
 namespace warper::storage {
 
 class Annotator {
  public:
-  explicit Annotator(const Table* table, util::CpuAccumulator* cpu = nullptr)
-      : table_(table), cpu_(cpu) {}
+  // `table` must outlive the annotator. `threads`: 1 = the calling thread,
+  // 0 = the whole shared pool, n > 1 = at most n-way on the shared pool.
+  explicit Annotator(const Table* table, int threads = 1);
 
   // Ground-truth cardinality of one predicate.
   int64_t Count(const RangePredicate& pred) const;
@@ -31,19 +37,11 @@ class Annotator {
   // Ground-truth cardinalities for a batch in one pass over the table.
   std::vector<int64_t> BatchCount(const std::vector<RangePredicate>& preds) const;
 
-  // Total predicates annotated so far (for cost accounting).
-  int64_t annotations() const { return annotations_; }
-  // Credits annotations performed on this annotator's table by an external
-  // executor (e.g. storage::ParallelAnnotator) so cost accounting stays
-  // accurate across execution strategies. Call from one thread only.
-  void RecordAnnotations(int64_t n) const { annotations_ += n; }
-
   const Table& table() const { return *table_; }
 
  private:
   const Table* table_;
-  util::CpuAccumulator* cpu_;
-  mutable int64_t annotations_ = 0;
+  int threads_;
 };
 
 }  // namespace warper::storage

@@ -1,7 +1,5 @@
 #include "storage/data_drift.h"
 
-#include "storage/parallel_annotator.h"
-
 #include <algorithm>
 #include <cmath>
 
@@ -84,10 +82,12 @@ std::vector<RangePredicate> MakeCanaryPredicates(const Table& table, size_t n,
   return canaries;
 }
 
-namespace {
-
-double ShiftFromCounts(const std::vector<int64_t>& current,
-                       const std::vector<int64_t>& baseline) {
+double CanaryShift(const Annotator& annotator,
+                   const std::vector<RangePredicate>& canaries,
+                   const std::vector<int64_t>& baseline) {
+  WARPER_CHECK(canaries.size() == baseline.size());
+  if (canaries.empty()) return 0.0;
+  std::vector<int64_t> current = annotator.BatchCount(canaries);
   double total = 0.0;
   for (size_t i = 0; i < current.size(); ++i) {
     double before = static_cast<double>(baseline[i]);
@@ -96,24 +96,6 @@ double ShiftFromCounts(const std::vector<int64_t>& current,
     total += std::abs(after - before) / denom;
   }
   return total / static_cast<double>(current.size());
-}
-
-}  // namespace
-
-double CanaryShift(const Annotator& annotator,
-                   const std::vector<RangePredicate>& canaries,
-                   const std::vector<int64_t>& baseline) {
-  WARPER_CHECK(canaries.size() == baseline.size());
-  if (canaries.empty()) return 0.0;
-  return ShiftFromCounts(annotator.BatchCount(canaries), baseline);
-}
-
-double CanaryShift(const ParallelAnnotator& annotator,
-                   const std::vector<RangePredicate>& canaries,
-                   const std::vector<int64_t>& baseline) {
-  WARPER_CHECK(canaries.size() == baseline.size());
-  if (canaries.empty()) return 0.0;
-  return ShiftFromCounts(annotator.BatchCount(canaries), baseline);
 }
 
 }  // namespace warper::storage

@@ -44,14 +44,6 @@ double CanaryShift(const Annotator& annotator,
                    const std::vector<RangePredicate>& canaries,
                    const std::vector<int64_t>& baseline);
 
-// Same telemetry with the canary pass executed by a ParallelAnnotator on
-// the shared thread pool; counts — and therefore the shift — are
-// bit-identical to the serial overload.
-class ParallelAnnotator;
-double CanaryShift(const ParallelAnnotator& annotator,
-                   const std::vector<RangePredicate>& canaries,
-                   const std::vector<int64_t>& baseline);
-
 }  // namespace warper::storage
 
 #endif  // WARPER_STORAGE_DATA_DRIFT_H_

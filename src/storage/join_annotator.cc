@@ -1,7 +1,6 @@
 #include "storage/join_annotator.h"
 
 #include <bit>
-#include <optional>
 #include <unordered_map>
 
 #include "storage/annotate_engine.h"
@@ -43,20 +42,6 @@ std::vector<uint64_t> MatchBitmap(const Table& table,
   return mask;
 }
 
-// Materializes every participating table's lazy caches (domain stats read
-// by Constrains, zone maps read by the engine) on the calling thread, so
-// per-query batch compilation inside pool workers is read-only.
-void WarmTableCaches(const StarSchema& s) {
-  auto warm = [](const Table& t) {
-    for (size_t c = 0; c < t.NumColumns(); ++c) {
-      t.column(c).Min();
-      t.column(c).EnsureZoneMapFresh();
-    }
-  };
-  warm(*s.center);
-  for (const StarSchema::Fact& fact : s.facts) warm(*fact.table);
-}
-
 template <typename Fn>
 void ForEachMatch(const std::vector<uint64_t>& mask, Fn&& fn) {
   for (size_t w = 0; w < mask.size(); ++w) {
@@ -78,18 +63,12 @@ size_t JoinQuery::NumJoins() const {
 }
 
 int64_t JoinAnnotator::Count(const JoinQuery& query) const {
-  std::optional<util::ScopedCpuTimer> timer;
-  if (cpu_ != nullptr) timer.emplace(cpu_);
-  GetJoinAnnotatorMetrics().calls->Increment();
-  return CountImpl(query);
-}
-
-int64_t JoinAnnotator::CountImpl(const JoinQuery& query) const {
   const StarSchema& s = *schema_;
   WARPER_CHECK(s.center != nullptr);
   WARPER_CHECK(query.fact_preds.size() == s.facts.size());
 
   JoinAnnotatorMetrics& metrics = GetJoinAnnotatorMetrics();
+  metrics.calls->Increment();
   metrics.queries->Increment();
   uint64_t rows = s.center->NumRows();
   for (size_t f = 0; f < s.facts.size(); ++f) {
@@ -139,30 +118,6 @@ std::vector<int64_t> JoinAnnotator::BatchCount(
   std::vector<int64_t> counts;
   counts.reserve(queries.size());
   for (const auto& q : queries) counts.push_back(Count(q));
-  return counts;
-}
-
-std::vector<int64_t> JoinAnnotator::BatchCountParallel(
-    const std::vector<JoinQuery>& queries,
-    const util::ParallelConfig& config) const {
-  // One accumulator charge for the whole batch, taken on the calling thread
-  // so pool workers never touch the (non-atomic) accumulator.
-  std::optional<util::ScopedCpuTimer> timer;
-  if (cpu_ != nullptr) timer.emplace(cpu_);
-  util::ScopedSpan span("join_annotator.batch_count_parallel");
-  span.Arg("queries", static_cast<double>(queries.size()));
-  GetJoinAnnotatorMetrics().calls->Increment();
-  WarmTableCaches(*schema_);
-
-  std::vector<int64_t> counts(queries.size(), 0);
-  // Join counting is expensive per query, so fan out per query rather than
-  // by row range; a grain of 1 still bounds chunks at pool size + 1.
-  size_t grain = std::max<size_t>(
-      1, queries.size() / static_cast<size_t>(config.ResolvedThreads()));
-  util::ThreadPool::Global().ParallelFor(
-      0, queries.size(), grain, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) counts[i] = CountImpl(queries[i]);
-      });
   return counts;
 }
 

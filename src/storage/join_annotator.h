@@ -10,10 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "storage/annotator.h"
 #include "storage/predicate.h"
 #include "storage/table.h"
-#include "util/thread_pool.h"
 
 namespace warper::storage {
 
@@ -42,9 +40,7 @@ struct JoinQuery {
 
 class JoinAnnotator {
  public:
-  explicit JoinAnnotator(const StarSchema* schema,
-                         util::CpuAccumulator* cpu = nullptr)
-      : schema_(schema), cpu_(cpu) {}
+  explicit JoinAnnotator(const StarSchema* schema) : schema_(schema) {}
 
   // Exact cardinality of SELECT count(*) over the star join with the given
   // predicates. One hash-aggregation pass over each participating fact table
@@ -53,22 +49,10 @@ class JoinAnnotator {
 
   std::vector<int64_t> BatchCount(const std::vector<JoinQuery>& queries) const;
 
-  // Batch counting with the queries fanned out across the shared thread
-  // pool. Each query is independent and writes only its own slot, so results
-  // are bit-identical to BatchCount; the CPU accumulator (if any) receives
-  // one wall-clock charge for the whole batch instead of per-query charges.
-  std::vector<int64_t> BatchCountParallel(const std::vector<JoinQuery>& queries,
-                                          const util::ParallelConfig& config)
-      const;
-
   const StarSchema& schema() const { return *schema_; }
 
  private:
-  // Count without CPU accounting (safe to call from pool workers).
-  int64_t CountImpl(const JoinQuery& query) const;
-
   const StarSchema* schema_;
-  util::CpuAccumulator* cpu_;
 };
 
 }  // namespace warper::storage

@@ -2,10 +2,10 @@
 //
 // The paper's tech report notes that "many calls [of Alg. 1] can be
 // parallelized"; this pool is the single substrate behind every parallel
-// kernel in the tree — blocked MatMul in nn::Matrix, batch annotation in
-// storage::ParallelAnnotator, and the per-query passes of the star-join
-// domain — so the process never oversubscribes cores no matter how many
-// layers go parallel at once.
+// kernel in the tree — blocked MatMul in nn::Matrix, pooled batch
+// annotation in storage::Annotator, and the serving fleet's batch dispatch
+// — so the process never oversubscribes cores no matter how many layers go
+// parallel at once.
 //
 // Determinism: ParallelFor partitions [begin, end) into fixed contiguous
 // chunks that depend only on the range, the grain and the worker count —

@@ -2,6 +2,7 @@
 // dataset generator and workload method, canonicalization is idempotent,
 // decoded predicates are valid, and annotations stay within [0, rows].
 #include <algorithm>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,13 @@ struct DomainCase {
   const char* dataset;
   workload::GenMethod method;
 };
+
+// gtest's default printer dumps the dataset pointer and the padding bytes,
+// which differ from build to build; the printed value is part of the test
+// name gtest_discover_tests registers, so print the case by name instead.
+void PrintTo(const DomainCase& c, std::ostream* os) {
+  *os << c.dataset << "/" << workload::GenMethodName(c.method);
+}
 
 std::string CaseName(const ::testing::TestParamInfo<DomainCase>& info) {
   return std::string(info.param.dataset) +

@@ -4,6 +4,8 @@
 // usable learned CE model, checked uniformly across the whole model zoo.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "ce/lm.h"
 #include "ce/metrics.h"
 #include "ce/mscn.h"
@@ -20,6 +22,13 @@ struct SweepCase {
   const char* model;
   const char* dataset;
 };
+
+// gtest's default printer dumps the two string pointers, which differ from
+// build to build and run to run; the printed value is part of the test name
+// gtest_discover_tests registers, so print the strings instead.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.model << "/" << c.dataset;
+}
 
 std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
   std::string name = std::string(info.param.model) + "_" + info.param.dataset;

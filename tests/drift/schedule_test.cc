@@ -4,7 +4,6 @@
 
 #include "storage/data_drift.h"
 #include "storage/datasets.h"
-#include "storage/parallel_annotator.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -108,7 +107,7 @@ TEST(DriftScheduleTest, MutationsAreByteIdenticalAcrossRunsAndThreadCounts) {
       if (!schedule.HasDataEventAt(s)) continue;
       schedule.ApplyDataEventAt(&table, s);
       // Unrelated concurrent work must not perturb the mutation stream.
-      storage::ParallelAnnotator annotator(&table, annotate_threads);
+      storage::Annotator annotator(&table, annotate_threads);
       util::Rng canary_rng(5 + annotate_threads);
       std::vector<storage::RangePredicate> canaries =
           storage::MakeCanaryPredicates(table, 8, &canary_rng);

@@ -1,6 +1,6 @@
 // ServingFleet: routing, the shared prioritized adaptation executor,
 // per-tenant isolation (queue depth + shed budget), the fleet epoch, the
-// request-struct serve API (and its deprecated shims), and the
+// request-struct serve API and its admission of non-finite input, and the
 // AdaptationOutcome::version contract.
 #include "serve/fleet.h"
 
@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -600,37 +601,119 @@ TEST(ServingFleetTest, ShedBudgetIsolatesASaturatedTenant) {
   fleet.Stop();
 }
 
-// Satellite: the deprecated positional shims still work and agree with the
-// request-struct API they wrap.
-TEST(ServingFleetTest, DeprecatedShimsDelegateToRequestApi) {
+// Non-finite features are refused InvalidArgument on every estimate path —
+// queued, inline and hash-routed — before they can reach a batch: the
+// finite requests submitted around a refused one are served as one batch of
+// their own, with the same bits they get alone.
+TEST(ServingFleetTest, RefusesNonFiniteFeaturesOnEveryEstimatePath) {
   StubFleetEnv env(54);
   std::vector<ce::LabeledExample> train =
       env.Examples(workload::GenMethod::kW1, 40);
-  core::Warper* warper = env.MakeTenant(train);
+  const std::vector<double>& probe = train[0].features;
+  std::vector<double> nan_probe = probe;
+  nan_probe[0] = std::nan("");
+  std::vector<double> inf_probe = probe;
+  inf_probe[1] = std::numeric_limits<double>::infinity();
 
+  core::ServeConfig batched;
+  batched.batch_max = 4;
+  util::ThreadPool pool(2);  // one dispatch worker, parked below
+  ServingFleet fleet(batched, &pool);
+  ASSERT_TRUE(fleet.AddTenant(7, env.MakeTenant(train)).ok());
+  ASSERT_TRUE(fleet.Start().ok());
+
+  std::promise<void> gate;
+  std::shared_future<void> gate_future = gate.get_future().share();
+  std::atomic<bool> blocked{false};
+  std::future<void> blocker = pool.Submit([&] {
+    blocked.store(true);
+    gate_future.wait();
+  });
+  while (!blocked.load()) std::this_thread::yield();
+
+  util::Counter* requests = util::Metrics().GetCounter("serve.requests");
+  util::Counter* batches = util::Metrics().GetCounter("serve.batches");
+  const uint64_t requests_before = requests->Value();
+  const uint64_t batches_before = batches->Value();
+  auto first = fleet.EstimateAsync(TenantRequest(7, probe));
+  auto nan = fleet.EstimateAsync(TenantRequest(7, nan_probe));
+  auto second = fleet.EstimateAsync(TenantRequest(7, probe));
+  auto inf = fleet.EstimateAsync(TenantRequest(7, inf_probe));
+  // Refused at admission, while the dispatch worker is still parked.
+  EXPECT_EQ(nan.get().status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(inf.get().status().code(), StatusCode::kInvalidArgument);
+  gate.set_value();
+  blocker.get();
+  Result<EstimateResponse> r1 = first.get();
+  Result<EstimateResponse> r2 = second.get();
+  ASSERT_TRUE(r1.ok());
+  ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(requests->Value() - requests_before, 2u);
+  EXPECT_EQ(batches->Value() - batches_before, 1u);
+
+  Result<EstimateResponse> alone = fleet.Estimate(TenantRequest(7, probe));
+  ASSERT_TRUE(alone.ok());
+  EXPECT_EQ(r1.ValueOrDie().estimate, alone.ValueOrDie().estimate);
+  EXPECT_EQ(r2.ValueOrDie().estimate, alone.ValueOrDie().estimate);
+  EXPECT_EQ(fleet.Estimate(TenantRequest(7, nan_probe)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fleet.EstimateHashed(TenantRequest(0, inf_probe)).status().code(),
+            StatusCode::kInvalidArgument);
+  fleet.Stop();
+
+  // batch_max = 1: the inline path refuses them too.
+  core::ServeConfig inline_config;
+  inline_config.batch_max = 1;
+  ServingFleet inline_fleet(inline_config);
+  ASSERT_TRUE(inline_fleet.AddTenant(8, env.MakeTenant(train)).ok());
+  ASSERT_TRUE(inline_fleet.Start().ok());
+  EXPECT_EQ(inline_fleet.Estimate(TenantRequest(8, nan_probe)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      inline_fleet.EstimateHashed(TenantRequest(0, inf_probe)).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_TRUE(inline_fleet.Estimate(TenantRequest(8, probe)).ok());
+  inline_fleet.Stop();
+}
+
+// A non-finite feature, or an actual that is non-finite or negative, is
+// refused before it reaches the template tracker, where one NaN or inf
+// would stay in the template's error EWMA for good.
+TEST(ServingFleetTest, ReportObservationRefusesNonFiniteInput) {
+  StubFleetEnv env(56);
+  std::vector<ce::LabeledExample> train =
+      env.Examples(workload::GenMethod::kW1, 40);
   core::ServeConfig config;
   config.batch_max = 1;
-  ServerOptions options;
-  options.config = &config;
-  EstimationServer server(warper, options);
-  ASSERT_TRUE(server.Start().ok());
+  ServingFleet fleet(config);
+  ASSERT_TRUE(fleet.AddTenant(7, env.MakeTenant(train)).ok());
+  ASSERT_TRUE(fleet.Start().ok());
 
   const std::vector<double>& probe = train[0].features;
-  Result<EstimateResponse> via_struct =
-      server.Estimate(TenantRequest(0, probe));
-  ASSERT_TRUE(via_struct.ok());
+  std::vector<double> nan_probe = probe;
+  nan_probe[0] = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double actual : {std::nan(""), inf, -inf, -1.0}) {
+    EXPECT_EQ(fleet.ReportObservation(7, probe, actual).code(),
+              StatusCode::kInvalidArgument)
+        << "actual=" << actual;
+  }
+  EXPECT_EQ(fleet.ReportObservation(7, nan_probe, 100.0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(fleet.TenantTopOffenders(7, 3).ValueOrDie().empty());
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  Result<double> via_shim = server.Estimate(probe);
-  std::future<Result<double>> via_async_shim = server.EstimateAsync(probe);
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(via_shim.ok());
-  EXPECT_EQ(via_shim.ValueOrDie(), via_struct.ValueOrDie().estimate);
-  Result<double> async_value = via_async_shim.get();
-  ASSERT_TRUE(async_value.ok());
-  EXPECT_EQ(async_value.ValueOrDie(), via_struct.ValueOrDie().estimate);
-  server.Stop();
+  // Only the exact observations that follow are tracked.
+  const double served =
+      fleet.Estimate(TenantRequest(7, probe)).ValueOrDie().estimate;
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(fleet.ReportObservation(7, probe, served).ok());
+  }
+  std::vector<core::TemplateTracker::Offender> top =
+      fleet.TenantTopOffenders(7, 3).ValueOrDie();
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].stats.count, 8u);
+  EXPECT_TRUE(std::isfinite(top[0].stats.ewma_err));
+  fleet.Stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@
 #include "storage/annotator.h"
 #include "storage/data_drift.h"
 #include "storage/datasets.h"
-#include "storage/parallel_annotator.h"
 #include "storage/predicate.h"
 #include "storage/table.h"
 #include "util/rng.h"
@@ -89,19 +88,12 @@ void ExpectParity(const Table& table,
     EXPECT_EQ(EngineCount(table, preds, *kernels), want)
         << what << " via " << kernels->name;
   }
-  // The public entry points: serial annotator (active kernels), parallel
-  // fused pass under deterministic=true (kAuto) and pinned-scalar configs.
-  Annotator serial(&table);
-  EXPECT_EQ(serial.BatchCount(preds), want) << what << " via Annotator";
-  util::ParallelConfig det;
-  det.threads = 4;
-  det.deterministic = true;
-  EXPECT_EQ(ParallelAnnotator(&table, det).BatchCount(preds), want)
-      << what << " via ParallelAnnotator(deterministic)";
-  util::ParallelConfig scalar = det;
-  scalar.simd = util::SimdMode::kScalar;
-  EXPECT_EQ(ParallelAnnotator(&table, scalar).BatchCount(preds), want)
-      << what << " via ParallelAnnotator(simd=scalar)";
+  // The public entry point (active kernels) on the calling thread, at most
+  // 4-way and on the whole shared pool.
+  for (int threads : {1, 4, 0}) {
+    EXPECT_EQ(Annotator(&table, threads).BatchCount(preds), want)
+        << what << " via Annotator(threads=" << threads << ")";
+  }
 }
 
 // Adversarial predicate set for `table`: equality bounds (low == high),
@@ -338,9 +330,7 @@ TEST(AnnotateEngineTest, ParallelFusedPassAfterDriftIsRaceFree) {
   AppendShiftedRows(&t, 0.25, 0.4, &rng);
   std::vector<RangePredicate> preds = workload::GenerateWorkload(
       t, {workload::GenMethod::kW2, workload::GenMethod::kW4}, 64, &rng);
-  util::ParallelConfig config;
-  config.threads = 0;  // whole pool
-  ParallelAnnotator parallel(&t, config);
+  Annotator parallel(&t, /*threads=*/0);  // whole pool
   std::vector<int64_t> want = SeedBatchCount(t, preds);
   for (int round = 0; round < 3; ++round) {
     EXPECT_EQ(parallel.BatchCount(preds), want);
