@@ -118,7 +118,6 @@ int main() {
 
   util::ParallelConfig parallel;
   parallel.threads = 1;
-  parallel.deterministic = false;
   nn::SetMatrixParallelism(parallel);
 
   const bool fast = FastMode();

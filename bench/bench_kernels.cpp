@@ -50,7 +50,6 @@ const GemmShape kGemmShapes[] = {
 void ApplyMode(util::SimdMode simd, int threads) {
   util::ParallelConfig config;
   config.threads = threads;
-  config.deterministic = false;
   config.simd = simd;
   core::ApplyParallelConfig(config);
 }

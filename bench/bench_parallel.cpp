@@ -2,7 +2,7 @@
 // storage::Annotator batch annotation, serial vs. the shared thread pool.
 // Emits one JSON document on stdout so CI can track speedups, and verifies
 // that every parallel result is bit-identical to its serial counterpart
-// (the deterministic=true contract).
+// (the replay-exact contract of every kernel table).
 //
 // Expected shape: ≥2× MatMul / annotation speedup on 4+ cores; ~1× (and a
 // small dispatch overhead) on a single-core host, where ParallelFor stays

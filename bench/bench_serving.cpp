@@ -181,11 +181,9 @@ int main() {
   using namespace warper::bench;
   BenchInit();
 
-  // Serving runs the SIMD kernels: determinism across kernel choices is a
-  // test concern, not a deployment one.
+  // Serial kernels on the default (best supported) table.
   util::ParallelConfig parallel;
   parallel.threads = 1;
-  parallel.deterministic = false;
   nn::SetMatrixParallelism(parallel);
 
   const bool fast = FastMode();

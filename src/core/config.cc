@@ -130,8 +130,7 @@ void ApplyParallelConfig(const util::ParallelConfig& config) {
   nn::SetMatrixParallelism(config);
   storage::internal::SetAnnotateKernels(config);
   WARPER_LOG(Info) << "parallel config applied: threads="
-                   << config.ResolvedThreads() << " deterministic="
-                   << (config.deterministic ? "true" : "false")
+                   << config.ResolvedThreads()
                    << " simd=" << util::SimdModeName(config.simd)
                    << " -> nn kernels: " << nn::ActiveKernelName()
                    << ", annotate kernels: "

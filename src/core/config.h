@@ -191,10 +191,10 @@ struct WarperConfig {
   // storage::Annotator its domain holds: one built with threads = 1 (the
   // default) scans on the calling thread, one built with threads != 1 fans
   // out on the pool sized here. `parallel.simd` picks the dense-
-  // kernel instruction set: with the default (kAuto + deterministic=true)
-  // the scalar reference kernels run, bit-exact across machines; set
-  // deterministic=false to let adaptation episodes use the AVX2+FMA kernels
-  // (same math to ~1e-12 relative tolerance — see DESIGN.md).
+  // kernel instruction set: the default kAuto runs the AVX2+FMA kernels
+  // where the CPU has them. Runs are replay-exact on either table (same
+  // seed, same bytes, any thread count); pin kScalar for bits that match
+  // across machines (the tables agree to ~1e-12 relative — see DESIGN.md).
   util::ParallelConfig parallel;
 
   // --- Serving (src/serve) — see ServeConfig above.

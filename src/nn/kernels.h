@@ -6,18 +6,21 @@
 // implementations ship in the binary:
 //
 //   ScalarKernels() — the reference loops, arithmetic-identical to the
-//     pre-SIMD tree. This is the deterministic path: results are bit-exact
-//     across machines and across PR generations.
+//     pre-SIMD tree: the same bits on every machine and the historical
+//     results. Pin it (ParallelConfig::simd = kScalar) for cross-CPU replay.
 //   Avx2Kernels()   — AVX2+FMA micro-kernels with a cache-blocked packed
-//     B panel for the main GEMM. FMA contraction and register-blocked
-//     accumulation round differently from the scalar loops, so this path
-//     agrees with scalar only to a relative tolerance (~1e-12 at the MLP's
-//     shapes; see DESIGN.md "Kernel dispatch & SIMD").
+//     B panel for the main GEMM, the default where the CPU supports them.
+//     FMA contraction and register-blocked accumulation round differently
+//     from the scalar loops, so this path agrees with scalar only to a
+//     relative tolerance (~1e-12 at the MLP's shapes; see DESIGN.md
+//     "Kernel dispatch & SIMD").
 //
-// The *range* kernels own a contiguous slice of output rows, so any row
-// partition (serial or ParallelFor) produces the same bits for a given
-// table: parallel-vs-serial determinism holds on both paths; only
-// scalar-vs-SIMD equality is approximate.
+// Both tables are replay-exact. Each output element is accumulated in an
+// order fixed by the table alone (one accumulator per element, k walked in
+// fixed blocks), never by which rows share a task or a register tile, and
+// the *range* kernels own a contiguous slice of output rows. So any row
+// partition (serial or ParallelFor, one batch or many) produces the same
+// bits for a given table; only scalar-vs-SIMD equality is approximate.
 //
 // Callers outside src/nn should use the Matrix API, not this header.
 #ifndef WARPER_NN_KERNELS_H_

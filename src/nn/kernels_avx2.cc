@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "util/aligned.h"
+#include "util/annotations.h"
 
 namespace warper::nn::internal {
 namespace {
@@ -147,15 +148,16 @@ void GemmBlocked(const double* a, size_t lda, size_t m, size_t k,
   }
 }
 
-void MatMulRangeAvx2(const double* a, size_t a_cols, const double* b,
-                     size_t b_cols, double* out, size_t r0, size_t r1) {
+WARPER_DETERMINISTIC void MatMulRangeAvx2(const double* a, size_t a_cols,
+                                          const double* b, size_t b_cols,
+                                          double* out, size_t r0, size_t r1) {
   GemmBlocked(a + r0 * a_cols, a_cols, r1 - r0, a_cols, b, b_cols, b_cols,
               out + r0 * b_cols, b_cols);
 }
 
-void TransposeMatMulRangeAvx2(const double* a, size_t a_rows, size_t a_cols,
-                              const double* b, size_t b_cols, double* out,
-                              size_t i0, size_t i1) {
+WARPER_DETERMINISTIC void TransposeMatMulRangeAvx2(
+    const double* a, size_t a_rows, size_t a_cols, const double* b,
+    size_t b_cols, double* out, size_t i0, size_t i1) {
   // out[i0..i1) = (Aᵀ)[i0..i1) × B. Transpose the slice of A once so the
   // blocked GEMM sees contiguous contraction rows.
   size_t m = i1 - i0;
@@ -171,9 +173,9 @@ void TransposeMatMulRangeAvx2(const double* a, size_t a_rows, size_t a_cols,
               out + i0 * b_cols, b_cols);
 }
 
-void MatMulTransposeRangeAvx2(const double* a, size_t a_cols, const double* b,
-                              size_t b_rows, double* out, size_t r0,
-                              size_t r1) {
+WARPER_DETERMINISTIC void MatMulTransposeRangeAvx2(
+    const double* a, size_t a_cols, const double* b, size_t b_rows,
+    double* out, size_t r0, size_t r1) {
   for (size_t i = r0; i < r1; ++i) {
     const double* arow = a + i * a_cols;
     for (size_t j = 0; j < b_rows; ++j) {
@@ -208,8 +210,9 @@ void MatMulTransposeRangeAvx2(const double* a, size_t a_cols, const double* b,
   }
 }
 
-void BiasActRangeAvx2(double* out, size_t cols, const double* bias,
-                      Activation act, size_t r0, size_t r1) {
+WARPER_DETERMINISTIC void BiasActRangeAvx2(double* out, size_t cols,
+                                           const double* bias, Activation act,
+                                           size_t r0, size_t r1) {
   const __m256d zero = _mm256_setzero_pd();
   const __m256d slope = _mm256_set1_pd(kLeakyReluSlope);
   for (size_t r = r0; r < r1; ++r) {
@@ -253,7 +256,8 @@ void BiasActRangeAvx2(double* out, size_t cols, const double* bias,
   }
 }
 
-void ActGradAvx2(Activation act, const double* post, double* grad, size_t n) {
+WARPER_DETERMINISTIC void ActGradAvx2(Activation act, const double* post,
+                                      double* grad, size_t n) {
   const __m256d zero = _mm256_setzero_pd();
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d slope = _mm256_set1_pd(kLeakyReluSlope);
@@ -301,8 +305,8 @@ void ActGradAvx2(Activation act, const double* post, double* grad, size_t n) {
   }
 }
 
-void AddRowBroadcastAvx2(double* data, size_t rows, size_t cols,
-                         const double* bias) {
+WARPER_DETERMINISTIC void AddRowBroadcastAvx2(double* data, size_t rows,
+                                              size_t cols, const double* bias) {
   for (size_t r = 0; r < rows; ++r) {
     double* row = data + r * cols;
     size_t c = 0;
@@ -316,8 +320,8 @@ void AddRowBroadcastAvx2(double* data, size_t rows, size_t cols,
 
 // Vectorizing over columns keeps each column's accumulation order identical
 // to the scalar kernel (rows ascending), so ColumnSums stays bit-exact.
-void ColumnSumsAvx2(const double* data, size_t rows, size_t cols,
-                    double* sums) {
+WARPER_DETERMINISTIC void ColumnSumsAvx2(const double* data, size_t rows,
+                                         size_t cols, double* sums) {
   for (size_t r = 0; r < rows; ++r) {
     const double* row = data + r * cols;
     size_t c = 0;
@@ -329,7 +333,7 @@ void ColumnSumsAvx2(const double* data, size_t rows, size_t cols,
   }
 }
 
-void ScaleAvx2(double* data, size_t n, double s) {
+WARPER_DETERMINISTIC void ScaleAvx2(double* data, size_t n, double s) {
   const __m256d sv = _mm256_set1_pd(s);
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -338,7 +342,7 @@ void ScaleAvx2(double* data, size_t n, double s) {
   for (; i < n; ++i) data[i] *= s;
 }
 
-double SquaredNormAvx2(const double* data, size_t n) {
+WARPER_DETERMINISTIC double SquaredNormAvx2(const double* data, size_t n) {
   __m256d acc0 = _mm256_setzero_pd();
   __m256d acc1 = _mm256_setzero_pd();
   size_t i = 0;

@@ -1,4 +1,4 @@
-// Scalar reference kernels — the deterministic dispatch path.
+// Scalar reference kernels — the portable dispatch path.
 //
 // The GEMM-family loops are carried over verbatim from the pre-dispatch
 // Matrix implementation (i-k-j order, k blocked at 256, zero-skip on A), and

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "nn/kernels.h"
 #include "util/cpu_features.h"
@@ -17,53 +15,10 @@ namespace {
 
 MatrixParallelPolicy g_policy;
 
-// The installed dispatch table. Scalar until SetMatrixParallelism says
-// otherwise, matching the deterministic default ParallelConfig.
-const internal::KernelTable* g_kernels = &internal::ScalarKernels();
-
-// Resolves the config (plus the WARPER_SIMD env refinement of kAuto) to a
-// kernel table. kAvx2 on hardware without AVX2+FMA falls back to scalar with
-// a warning — ParallelConfig::Validate already rejects that combination on
-// the API path, so this only triggers for callers that skip validation.
-const internal::KernelTable* ResolveKernels(const util::ParallelConfig& c) {
-  util::SimdMode mode = c.simd;
-  if (mode == util::SimdMode::kAuto) {
-    if (const char* env = std::getenv("WARPER_SIMD")) {
-      std::string value(env);
-      if (value == "scalar") {
-        mode = util::SimdMode::kScalar;
-      } else if (value == "avx2") {
-        mode = util::SimdMode::kAvx2;
-      } else if (!value.empty() && value != "auto") {
-        WARPER_LOG(Warn) << "ignoring unknown WARPER_SIMD value '" << value
-                         << "' (want scalar|avx2|auto)";
-      }
-    }
-  }
-  switch (mode) {
-    case util::SimdMode::kScalar:
-      return &internal::ScalarKernels();
-    case util::SimdMode::kAvx2:
-      if (util::BestSupportedSimdLevel() != util::SimdLevel::kAvx2 ||
-          !internal::Avx2KernelsCompiled()) {
-        WARPER_LOG(Warn) << "simd=avx2 requested but unavailable ("
-                         << (internal::Avx2KernelsCompiled()
-                                 ? "CPU lacks AVX2+FMA"
-                                 : "binary built without AVX2 kernels")
-                         << "); using scalar kernels";
-        return &internal::ScalarKernels();
-      }
-      return &internal::Avx2Kernels();
-    case util::SimdMode::kAuto:
-      break;
-  }
-  if (c.deterministic) return &internal::ScalarKernels();
-  if (util::BestSupportedSimdLevel() == util::SimdLevel::kAvx2 &&
-      internal::Avx2KernelsCompiled()) {
-    return &internal::Avx2Kernels();
-  }
-  return &internal::ScalarKernels();
-}
+// The installed dispatch table.
+constinit util::KernelTableSlot<internal::KernelTable> g_kernels(
+    &internal::ScalarKernels, &internal::Avx2Kernels,
+    &internal::Avx2KernelsCompiled);
 
 // True when an (m × n × k) product is worth dispatching to the pool.
 bool UseParallel(size_t out_rows, size_t madds) {
@@ -83,12 +38,12 @@ void ForOutputRows(size_t rows, const std::function<void(size_t, size_t)>& fn) {
 void SetMatrixParallelism(const util::ParallelConfig& config) {
   g_policy.threads = config.ResolvedThreads();
   g_policy.grain_rows = std::max<size_t>(1, config.grain / 32);
-  g_kernels = ResolveKernels(config);
+  g_kernels.Install(config.simd);
 }
 
 const MatrixParallelPolicy& matrix_parallel_policy() { return g_policy; }
 
-const char* ActiveKernelName() { return g_kernels->name; }
+const char* ActiveKernelName() { return g_kernels.Get().name; }
 
 Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
   WARPER_CHECK(!rows.empty());
@@ -140,10 +95,10 @@ Matrix Matrix::MatMul(const Matrix& other) const {
                        << "x" << cols_ << ") x (" << other.rows_ << "x"
                        << other.cols_ << ")");
   Matrix out(rows_, other.cols_);
-  const internal::KernelTable* kernels = g_kernels;
+  const internal::KernelTable& kernels = g_kernels.Get();
   auto kernel = [&](size_t r0, size_t r1) {
-    kernels->matmul_range(data_.data(), cols_, other.data_.data(), other.cols_,
-                          out.data_.data(), r0, r1);
+    kernels.matmul_range(data_.data(), cols_, other.data_.data(), other.cols_,
+                         out.data_.data(), r0, r1);
   };
   if (UseParallel(rows_, rows_ * cols_ * other.cols_)) {
     ForOutputRows(rows_, kernel);
@@ -160,12 +115,12 @@ Matrix Matrix::MatMulBiasAct(const Matrix& w, const std::vector<double>& bias,
                        << w.cols_ << ")");
   WARPER_CHECK(bias.size() == w.cols_);
   Matrix out(rows_, w.cols_);
-  const internal::KernelTable* kernels = g_kernels;
+  const internal::KernelTable& kernels = g_kernels.Get();
   auto kernel = [&](size_t r0, size_t r1) {
-    kernels->matmul_range(data_.data(), cols_, w.data_.data(), w.cols_,
-                          out.data_.data(), r0, r1);
-    kernels->bias_act_range(out.data_.data(), w.cols_, bias.data(), act, r0,
-                            r1);
+    kernels.matmul_range(data_.data(), cols_, w.data_.data(), w.cols_,
+                         out.data_.data(), r0, r1);
+    kernels.bias_act_range(out.data_.data(), w.cols_, bias.data(), act, r0,
+                           r1);
   };
   if (UseParallel(rows_, rows_ * cols_ * w.cols_)) {
     ForOutputRows(rows_, kernel);
@@ -178,11 +133,11 @@ Matrix Matrix::MatMulBiasAct(const Matrix& w, const std::vector<double>& bias,
 Matrix Matrix::TransposeMatMul(const Matrix& other) const {
   WARPER_CHECK(rows_ == other.rows_);
   Matrix out(cols_, other.cols_);
-  const internal::KernelTable* kernels = g_kernels;
+  const internal::KernelTable& kernels = g_kernels.Get();
   auto kernel = [&](size_t i0, size_t i1) {
-    kernels->transpose_matmul_range(data_.data(), rows_, cols_,
-                                    other.data_.data(), other.cols_,
-                                    out.data_.data(), i0, i1);
+    kernels.transpose_matmul_range(data_.data(), rows_, cols_,
+                                   other.data_.data(), other.cols_,
+                                   out.data_.data(), i0, i1);
   };
   if (UseParallel(cols_, rows_ * cols_ * other.cols_)) {
     ForOutputRows(cols_, kernel);
@@ -195,10 +150,10 @@ Matrix Matrix::TransposeMatMul(const Matrix& other) const {
 Matrix Matrix::MatMulTranspose(const Matrix& other) const {
   WARPER_CHECK(cols_ == other.cols_);
   Matrix out(rows_, other.rows_);
-  const internal::KernelTable* kernels = g_kernels;
+  const internal::KernelTable& kernels = g_kernels.Get();
   auto kernel = [&](size_t r0, size_t r1) {
-    kernels->matmul_transpose_range(data_.data(), cols_, other.data_.data(),
-                                    other.rows_, out.data_.data(), r0, r1);
+    kernels.matmul_transpose_range(data_.data(), cols_, other.data_.data(),
+                                   other.rows_, out.data_.data(), r0, r1);
   };
   if (UseParallel(rows_, rows_ * cols_ * other.rows_)) {
     ForOutputRows(rows_, kernel);
@@ -234,28 +189,28 @@ void Matrix::MulElem(const Matrix& other) {
 }
 
 void Matrix::Scale(double s) {
-  g_kernels->scale(data_.data(), data_.size(), s);
+  g_kernels.Get().scale(data_.data(), data_.size(), s);
 }
 
 void Matrix::AddRowBroadcast(const std::vector<double>& bias) {
   WARPER_CHECK(bias.size() == cols_);
-  g_kernels->add_row_broadcast(data_.data(), rows_, cols_, bias.data());
+  g_kernels.Get().add_row_broadcast(data_.data(), rows_, cols_, bias.data());
 }
 
 std::vector<double> Matrix::ColumnSums() const {
   std::vector<double> sums(cols_, 0.0);
-  g_kernels->column_sums(data_.data(), rows_, cols_, sums.data());
+  g_kernels.Get().column_sums(data_.data(), rows_, cols_, sums.data());
   return sums;
 }
 
 double Matrix::SquaredNorm() const {
-  return g_kernels->squared_norm(data_.data(), data_.size());
+  return g_kernels.Get().squared_norm(data_.data(), data_.size());
 }
 
 void ActivationGradInPlace(Activation act, const Matrix& post, Matrix* grad) {
   WARPER_CHECK(post.rows() == grad->rows() && post.cols() == grad->cols());
-  g_kernels->act_grad(act, post.data().data(), grad->data().data(),
-                      grad->data().size());
+  g_kernels.Get().act_grad(act, post.data().data(), grad->data().data(),
+                           grad->data().size());
 }
 
 }  // namespace warper::nn

@@ -4,10 +4,9 @@
 //
 // Every numeric inner loop dispatches through a process-wide kernel table
 // (scalar reference or AVX2+FMA; see nn/kernels.h) selected by
-// SetMatrixParallelism from util::ParallelConfig: deterministic configs pin
-// the scalar reference kernels (bit-exact, portable), non-deterministic
-// configs take the best instruction set the CPU supports, and the
-// ParallelConfig::simd override pins a path for tests and benches.
+// SetMatrixParallelism from util::ParallelConfig::simd: kAuto takes the best
+// instruction set the CPU supports, kScalar pins the portable reference
+// kernels. Results are replay-exact on either table.
 #ifndef WARPER_NN_MATRIX_H_
 #define WARPER_NN_MATRIX_H_
 
@@ -55,8 +54,8 @@ struct MatrixParallelPolicy {
 
 // Installs the kernel policy *and* the dispatch table (typically from
 // WarperConfig::parallel via core::ApplyParallelConfig). Not thread-safe
-// against concurrent MatMul. Until first called, the scalar reference
-// kernels are active (matching the deterministic default config).
+// against concurrent MatMul. Before the first call, the first kernel use
+// installs the default config's table (kAuto: the best supported set).
 void SetMatrixParallelism(const util::ParallelConfig& config);
 const MatrixParallelPolicy& matrix_parallel_policy();
 

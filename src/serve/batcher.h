@@ -16,8 +16,8 @@
 //     few batches so sibling tenants get their turn.
 //
 // Determinism: a batched pass computes each row with exactly the per-row
-// operations of a 1-row pass, so under ParallelConfig::deterministic = true
-// batched and unbatched estimates are bit-identical.
+// operations of a 1-row pass, so on every kernel table batched and unbatched
+// estimates are bit-identical.
 #ifndef WARPER_SERVE_BATCHER_H_
 #define WARPER_SERVE_BATCHER_H_
 

@@ -3,13 +3,8 @@
 // with -mavx2).
 #include "storage/annotate_kernels.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <string>
-
 #include "util/annotations.h"
 #include "util/cpu_features.h"
-#include "util/logging.h"
 
 namespace warper::storage::internal {
 namespace {
@@ -62,71 +57,19 @@ const AnnotateKernelTable kScalarTable = {
 };
 
 // The installed table, read on every annotation pass (possibly from pool
-// workers while a config change lands elsewhere) — hence atomic. nullptr
-// means "not yet resolved": first use resolves the default config.
-std::atomic<const AnnotateKernelTable*> g_kernels{nullptr};
+// workers while a config change lands elsewhere).
+constinit util::KernelTableSlot<AnnotateKernelTable> g_kernels(
+    &ScalarAnnotateKernels, &Avx2AnnotateKernels, &Avx2AnnotateKernelsCompiled);
 
 }  // namespace
 
 const AnnotateKernelTable& ScalarAnnotateKernels() { return kScalarTable; }
 
-namespace {
-
-const AnnotateKernelTable& ResolveAnnotateKernels(
-    const util::ParallelConfig& config) {
-  util::SimdMode mode = config.simd;
-  if (mode == util::SimdMode::kAuto) {
-    if (const char* env = std::getenv("WARPER_SIMD")) {
-      std::string value(env);
-      if (value == "scalar") {
-        mode = util::SimdMode::kScalar;
-      } else if (value == "avx2") {
-        mode = util::SimdMode::kAvx2;
-      }
-      // Unknown values are warned about by the nn dispatcher; stay quiet
-      // here to avoid double logging.
-    }
-  }
-  switch (mode) {
-    case util::SimdMode::kScalar:
-      return ScalarAnnotateKernels();
-    case util::SimdMode::kAvx2:
-      if (util::BestSupportedSimdLevel() != util::SimdLevel::kAvx2 ||
-          !Avx2AnnotateKernelsCompiled()) {
-        WARPER_LOG(Warn) << "simd=avx2 requested but unavailable ("
-                         << (Avx2AnnotateKernelsCompiled()
-                                 ? "CPU lacks AVX2+FMA"
-                                 : "binary built without AVX2 kernels")
-                         << "); using scalar annotate kernels";
-        return ScalarAnnotateKernels();
-      }
-      return Avx2AnnotateKernels();
-    case util::SimdMode::kAuto:
-      break;
-  }
-  // kAuto: counts are integer-exact on every path, so — unlike the nn GEMM
-  // dispatcher — deterministic configs still take the best supported level.
-  if (util::BestSupportedSimdLevel() == util::SimdLevel::kAvx2 &&
-      Avx2AnnotateKernelsCompiled()) {
-    return Avx2AnnotateKernels();
-  }
-  return ScalarAnnotateKernels();
-}
-
-}  // namespace
-
 void SetAnnotateKernels(const util::ParallelConfig& config) {
-  g_kernels.store(&ResolveAnnotateKernels(config), std::memory_order_release);
+  g_kernels.Install(config.simd);
 }
 
-const AnnotateKernelTable& ActiveAnnotateKernels() {
-  const AnnotateKernelTable* table = g_kernels.load(std::memory_order_acquire);
-  if (table == nullptr) {
-    table = &ResolveAnnotateKernels(util::ParallelConfig{});
-    g_kernels.store(table, std::memory_order_release);
-  }
-  return *table;
-}
+const AnnotateKernelTable& ActiveAnnotateKernels() { return g_kernels.Get(); }
 
 const char* ActiveAnnotateKernelName() { return ActiveAnnotateKernels().name; }
 

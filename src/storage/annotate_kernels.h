@@ -10,15 +10,12 @@
 //     vector, matches accumulated by subtracting all-ones compare lanes
 //     (count) or assembled into 64-row bitset words via movemask (mask).
 //
-// Unlike the floating-point GEMM kernels, annotation kernels count integers:
-// SIMD and scalar agree EXACTLY, bit for bit, on every input — including
-// NaN, which matches every range under the scan's !(v < lo) && !(v > hi)
-// semantics (the unordered-compare predicates NLT/NGT reproduce this in
-// AVX2). Because equality is exact, SimdMode::kAuto resolves to the best
-// CPU-supported level even when ParallelConfig::deterministic is true; the
-// deterministic contract (bit-identical results) is preserved on every
-// path. WARPER_SIMD=scalar|avx2|auto refines kAuto, and kScalar/kAvx2 pin a
-// path, exactly as in the nn dispatcher.
+// Annotation kernels count integers: SIMD and scalar agree EXACTLY, bit for
+// bit, on every input — including NaN, which matches every range under the
+// scan's !(v < lo) && !(v > hi) semantics (the unordered-compare predicates
+// NLT/NGT reproduce this in AVX2). So annotation counts are the same on every
+// table and CPU. ParallelConfig::simd picks the table exactly as in the nn
+// dispatcher (util::KernelTableSlot, util::ResolveSimdLevel).
 //
 // Callers outside src/storage should use Annotator, not this header.
 #ifndef WARPER_STORAGE_ANNOTATE_KERNELS_H_
@@ -59,15 +56,12 @@ const AnnotateKernelTable& Avx2AnnotateKernels();
 bool Avx2AnnotateKernelsCompiled();
 
 // Installs the process-wide table every annotator uses (mirrors
-// nn::SetMatrixParallelism; called from core::ApplyParallelConfig). Resolves
-// `config.simd` plus the WARPER_SIMD env refinement of kAuto. Counts are
-// integer-exact on both paths, so kAuto ignores `deterministic` and takes
-// the best supported level; kAvx2 on hardware without AVX2 falls back to
-// scalar with a warning.
+// nn::SetMatrixParallelism; called from core::ApplyParallelConfig) from
+// `config.simd`, resolved by util::ResolveSimdLevel.
 void SetAnnotateKernels(const util::ParallelConfig& config);
 
-// The installed table. Before any SetAnnotateKernels call this lazily
-// resolves a default config (kAuto → best supported level).
+// The installed table. Before any SetAnnotateKernels call the first use
+// installs the kAuto default (the best supported level).
 const AnnotateKernelTable& ActiveAnnotateKernels();
 const char* ActiveAnnotateKernelName();
 

@@ -22,6 +22,8 @@
 
 #include <immintrin.h>
 
+#include "util/annotations.h"
+
 namespace warper::storage::internal {
 namespace {
 
@@ -35,7 +37,8 @@ inline __m256d MatchMask(__m256d v, __m256d lo, __m256d hi) {
                        _mm256_cmp_pd(v, hi, _CMP_NGT_UQ));
 }
 
-int64_t Avx2CountRange(const double* v, size_t n, double lo, double hi) {
+WARPER_DETERMINISTIC int64_t Avx2CountRange(const double* v, size_t n,
+                                             double lo, double hi) {
   __m256d vlo = _mm256_set1_pd(lo);
   __m256d vhi = _mm256_set1_pd(hi);
   __m256i acc0 = _mm256_setzero_si256();
@@ -80,8 +83,8 @@ inline uint64_t TailWord(const double* v, size_t n, double lo, double hi) {
   return bits;
 }
 
-void Avx2MaskRange(const double* v, size_t n, double lo, double hi,
-                   uint64_t* mask) {
+WARPER_DETERMINISTIC void Avx2MaskRange(const double* v, size_t n, double lo,
+                                        double hi, uint64_t* mask) {
   __m256d vlo = _mm256_set1_pd(lo);
   __m256d vhi = _mm256_set1_pd(hi);
   size_t full = n / 64;
@@ -89,8 +92,9 @@ void Avx2MaskRange(const double* v, size_t n, double lo, double hi,
   if (n % 64 != 0) mask[full] = TailWord(v + 64 * full, n % 64, lo, hi);
 }
 
-void Avx2MaskRangeAnd(const double* v, size_t n, double lo, double hi,
-                      uint64_t* mask) {
+WARPER_DETERMINISTIC void Avx2MaskRangeAnd(const double* v, size_t n,
+                                           double lo, double hi,
+                                           uint64_t* mask) {
   __m256d vlo = _mm256_set1_pd(lo);
   __m256d vhi = _mm256_set1_pd(hi);
   size_t full = n / 64;

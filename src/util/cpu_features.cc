@@ -1,5 +1,10 @@
 #include "util/cpu_features.h"
 
+#include <cstdlib>
+#include <cstring>
+
+#include "util/logging.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
 #define WARPER_X86 1
@@ -53,6 +58,22 @@ CpuFeatures Detect() { return CpuFeatures{}; }
 
 #endif  // WARPER_X86
 
+// The WARPER_SIMD refinement of kAuto, parsed on the first call.
+SimdMode EnvSimdMode() {
+  static const SimdMode mode = [] {
+    const char* env = std::getenv("WARPER_SIMD");
+    if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0) {
+      return SimdMode::kAuto;
+    }
+    if (std::strcmp(env, "scalar") == 0) return SimdMode::kScalar;
+    if (std::strcmp(env, "avx2") == 0) return SimdMode::kAvx2;
+    WARPER_LOG(Warn) << "ignoring unknown WARPER_SIMD value '" << env
+                     << "' (want scalar|avx2|auto)";
+    return SimdMode::kAuto;
+  }();
+  return mode;
+}
+
 }  // namespace
 
 const CpuFeatures& GetCpuFeatures() {
@@ -63,6 +84,20 @@ const CpuFeatures& GetCpuFeatures() {
 SimdLevel BestSupportedSimdLevel() {
   const CpuFeatures& f = GetCpuFeatures();
   if (f.avx2 && f.fma) return SimdLevel::kAvx2;
+  return SimdLevel::kScalar;
+}
+
+SimdLevel ResolveSimdLevel(SimdMode mode, bool avx2_compiled) {
+  if (mode == SimdMode::kAuto) mode = EnvSimdMode();
+  if (mode == SimdMode::kScalar) return SimdLevel::kScalar;
+  bool cpu_avx2 = BestSupportedSimdLevel() == SimdLevel::kAvx2;
+  if (cpu_avx2 && avx2_compiled) return SimdLevel::kAvx2;
+  if (mode == SimdMode::kAvx2) {
+    WARPER_LOG(Warn) << "simd=avx2 requested but unavailable ("
+                     << (cpu_avx2 ? "binary built without AVX2 kernels"
+                                  : "CPU lacks AVX2+FMA")
+                     << "); using scalar kernels";
+  }
   return SimdLevel::kScalar;
 }
 

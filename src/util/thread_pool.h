@@ -35,16 +35,11 @@ struct ParallelConfig {
   int threads = 0;
   // Minimum items per ParallelFor task. Small ranges stay serial.
   size_t grain = 256;
-  // When true every parallel kernel must produce bit-identical results to
-  // its serial counterpart (fixed partitioning, ordered reductions). All
-  // kernels in this tree honor it; turning it off only licenses unordered
-  // reductions — and, in the nn kernel layer, SIMD kernels whose FMA /
-  // blocked accumulation rounds differently from the scalar reference.
-  bool deterministic = true;
-  // Which dense-kernel instruction set nn::Matrix dispatches to. kAuto uses
-  // the scalar reference kernels when deterministic (bit-exact, portable)
-  // and the best CPU-supported SIMD set otherwise; kScalar / kAvx2 pin a
-  // path for testing. See util::SimdMode for the full contract.
+  // Which kernel instruction set nn::Matrix and the annotation engine
+  // dispatch to: kAuto (the best set the CPU supports) or a pinned path.
+  // Every table is replay-exact — a seeded run gives the same bytes at any
+  // thread count and batch split — so `simd` only decides *which* bytes:
+  // pin kScalar to reproduce a run across CPUs. See util::SimdMode.
   SimdMode simd = SimdMode::kAuto;
 
   // Threads resolved against the hardware (never 0).

@@ -1,6 +1,7 @@
 // Integration tests for the Warper controller (Alg. 1).
 #include "core/warper.h"
 
+#include <cstring>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -62,6 +63,57 @@ std::unique_ptr<ce::LmMlp> TrainModel(Env& env,
   ce::ExamplesToMatrix(train, &x, &y);
   model->Train(x, y);
   return model;
+}
+
+// Replay-exact on the default kernel table: one seeded walk (train M,
+// Initialize, a labeled c2 and an unlabeled c3 invocation) gives the same
+// bytes at 1, 2 and 4 threads.
+TEST(WarperTest, SeededWalkIsByteIdenticalAcrossThreadCounts) {
+  struct Outcome {
+    std::vector<size_t> counts;  // generated, picked, annotated per step
+    std::vector<double> values;  // drift signals and GMQs, then estimates
+  };
+  auto walk = [](int threads) {
+    WarperConfig config = FastConfig();
+    config.parallel.threads = threads;
+    ApplyParallelConfig(config.parallel);  // M trains on this config too
+    Env env(13, 8000);
+    std::vector<ce::LabeledExample> train =
+        env.Examples(workload::GenMethod::kW1, 400);
+    auto model = TrainModel(env, train, 13);
+    Warper warper(&env.domain, model.get(), config);
+    EXPECT_TRUE(warper.Initialize(train).ok());
+    Outcome out;
+    for (bool labeled : {true, false}) {
+      Warper::Invocation invocation;
+      invocation.new_queries =
+          env.Examples(workload::GenMethod::kW3, 60, labeled);
+      invocation.annotation_budget = 20;
+      Warper::InvocationResult result = warper.Invoke(invocation).ValueOrDie();
+      out.counts.insert(out.counts.end(),
+                        {result.generated, result.picked, result.annotated});
+      out.values.insert(out.values.end(),
+                        {result.delta_m, result.delta_js, result.gmq_before,
+                         result.gmq_after});
+    }
+    nn::Matrix x;
+    std::vector<double> y;
+    ce::ExamplesToMatrix(env.Examples(workload::GenMethod::kW3, 100), &x, &y);
+    std::vector<double> estimates = model->EstimateTargets(x);
+    out.values.insert(out.values.end(), estimates.begin(), estimates.end());
+    return out;
+  };
+  Outcome serial = walk(1);
+  for (int threads : {2, 4}) {
+    Outcome parallel = walk(threads);
+    EXPECT_EQ(parallel.counts, serial.counts) << threads << " threads";
+    ASSERT_EQ(parallel.values.size(), serial.values.size());
+    EXPECT_EQ(std::memcmp(parallel.values.data(), serial.values.data(),
+                          serial.values.size() * sizeof(double)),
+              0)
+        << threads << " threads";
+  }
+  ApplyParallelConfig(util::ParallelConfig{});
 }
 
 TEST(WarperTest, NoDriftMeansNoAdaptationMachinery) {

@@ -1,21 +1,28 @@
 // Scalar ↔ SIMD kernel equivalence, and the dispatch contract.
 //
-// The scalar table is the bit-exact reference; the AVX2+FMA table contracts
+// The scalar table is the portable reference; the AVX2+FMA table contracts
 // with FMA and register-blocked accumulation, so it agrees with scalar only
-// to a relative tolerance. The documented policy (DESIGN.md "Kernel dispatch
-// & SIMD"): |simd − scalar| ≤ 1e-12 · max(1, |scalar|) at every element for
-// the shapes this system runs (k ≤ a few hundred). Shapes here are chosen to
+// to a relative tolerance. Each table on its own is replay-exact: the same
+// seed gives the same bytes at any thread count and batch split. The
+// documented policy (DESIGN.md "Kernel dispatch & SIMD"): |simd − scalar| ≤
+// 1e-12 · max(1, |scalar|) at every element for the shapes this system runs
+// (k ≤ a few hundred). Shapes here are chosen to
 // be awkward on purpose: empty, single-element, widths that are not a
 // multiple of the 4-lane vector width or the 8-wide micro-kernel panel, and
 // self-products (aliasing A = B).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "nn/kernels.h"
 #include "nn/matrix.h"
 #include "nn/mlp.h"
+#include "nn/trainer.h"
+#include "storage/annotate_kernels.h"
 #include "util/cpu_features.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -28,6 +35,23 @@ constexpr double kRelTol = 1e-12;
 bool Avx2Available() {
   return util::BestSupportedSimdLevel() == util::SimdLevel::kAvx2 &&
          internal::Avx2KernelsCompiled();
+}
+
+// The table kAuto must install here: WARPER_SIMD=scalar pins scalar, and
+// otherwise the best table this CPU and binary can run.
+const char* ExpectedAutoTable() {
+  const char* env = std::getenv("WARPER_SIMD");
+  if (env != nullptr && std::string(env) == "scalar") return "scalar";
+  return Avx2Available() ? "avx2" : "scalar";
+}
+
+// Byte equality: stricter than ==, which equates 0.0 with -0.0.
+template <typename Actual, typename Expected>
+void ExpectSameBytes(const Actual& actual, const Expected& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        actual.size() * sizeof(double)),
+            0);
 }
 
 Matrix RandomMatrix(size_t rows, size_t cols, util::Rng* rng) {
@@ -49,12 +73,10 @@ class KernelDispatchTest : public ::testing::Test {
  protected:
   void TearDown() override { UseKernels(util::SimdMode::kScalar, 1); }
 
-  // Installs a kernel table + thread policy. deterministic=false so the simd
-  // mode alone decides the table.
+  // Installs a kernel table + thread policy.
   static void UseKernels(util::SimdMode mode, int threads) {
     util::ParallelConfig config;
     config.threads = threads;
-    config.deterministic = false;
     config.simd = mode;
     if (threads > 1) util::ThreadPool::Configure(config);
     SetMatrixParallelism(config);
@@ -82,23 +104,16 @@ TEST_F(KernelDispatchTest, ForcedModesInstallTheRightTable) {
   }
 }
 
-TEST_F(KernelDispatchTest, DeterministicConfigsPinScalar) {
-  util::ParallelConfig config;  // deterministic = true, simd = kAuto
+// kAuto resolves in one place for both kernel layers: to the best table the
+// CPU and binary allow, unless WARPER_SIMD pins scalar.
+TEST_F(KernelDispatchTest, AutoResolvesToWhatCpuAndEnvAllow) {
+  util::ParallelConfig config;  // simd = kAuto
   config.threads = 4;
   SetMatrixParallelism(config);
-  EXPECT_STREQ(ActiveKernelName(), "scalar");
-}
-
-TEST_F(KernelDispatchTest, AutoNonDeterministicUsesBestAvailable) {
-  util::ParallelConfig config;
-  config.threads = 1;
-  config.deterministic = false;
-  SetMatrixParallelism(config);
-  if (Avx2Available()) {
-    EXPECT_STREQ(ActiveKernelName(), "avx2");
-  } else {
-    EXPECT_STREQ(ActiveKernelName(), "scalar");
-  }
+  EXPECT_STREQ(ActiveKernelName(), ExpectedAutoTable());
+  storage::internal::SetAnnotateKernels(config);
+  EXPECT_STREQ(storage::internal::ActiveAnnotateKernelName(),
+               ExpectedAutoTable());
 }
 
 TEST_F(KernelDispatchTest, MatMulMatchesScalarAcrossShapes) {
@@ -280,12 +295,12 @@ TEST_F(KernelDispatchTest, Avx2ParallelIsBitIdenticalToAvx2Serial) {
   EXPECT_EQ(parallel.data(), serial.data());
 }
 
-// The PR 1 reproducibility contract: a deterministic parallel config runs
-// the scalar kernels and reproduces the serial scalar bits exactly — through
-// the whole fused MLP forward/backward, not just a lone GEMM.
-TEST_F(KernelDispatchTest, DeterministicConfigReproducesScalarMlpBits) {
+// Cross-CPU replay: the kScalar pin at 4 threads, with uneven row slices,
+// reproduces the serial scalar bits through the whole fused MLP forward,
+// backward and optimizer step, not just a lone GEMM.
+TEST_F(KernelDispatchTest, ScalarPinReproducesSerialScalarMlpBits) {
   MlpConfig mlp_config;
-  mlp_config.layer_sizes = {10, 16, 16, 3};
+  mlp_config.layer_sizes = {10, 128, 128, 3};
 
   util::Rng rng_a(31);
   util::Rng rng_b(31);
@@ -293,22 +308,77 @@ TEST_F(KernelDispatchTest, DeterministicConfigReproducesScalarMlpBits) {
   Mlp parallel_mlp(mlp_config, &rng_b);
 
   util::Rng data_rng(32);
-  Matrix x = RandomMatrix(24, 10, &data_rng);
-  Matrix grad = RandomMatrix(24, 3, &data_rng);
+  Matrix x = RandomMatrix(50, 10, &data_rng);
+  Matrix grad = RandomMatrix(50, 3, &data_rng);
 
   UseKernels(util::SimdMode::kScalar, 1);
   Matrix y_serial = serial_mlp.Forward(x);
   Matrix gin_serial = serial_mlp.Backward(grad);
+  serial_mlp.Step(OptimizerConfig{}, 1e-3);
 
-  util::ParallelConfig deterministic;  // deterministic = true, simd = kAuto
-  deterministic.threads = 4;
-  util::ThreadPool::Configure(deterministic);
-  SetMatrixParallelism(deterministic);
+  util::ParallelConfig pinned;
+  pinned.threads = 4;
+  pinned.grain = 96;  // 3-row minimum: 50 rows split 13/13/13/11
+  pinned.simd = util::SimdMode::kScalar;
+  util::ThreadPool::Configure(pinned);
+  SetMatrixParallelism(pinned);
+  ASSERT_STREQ(ActiveKernelName(), "scalar");
   Matrix y_parallel = parallel_mlp.Forward(x);
   Matrix gin_parallel = parallel_mlp.Backward(grad);
+  parallel_mlp.Step(OptimizerConfig{}, 1e-3);
 
-  EXPECT_EQ(y_parallel.data(), y_serial.data());
-  EXPECT_EQ(gin_parallel.data(), gin_serial.data());
+  ExpectSameBytes(y_parallel.data(), y_serial.data());
+  ExpectSameBytes(gin_parallel.data(), gin_serial.data());
+  ExpectSameBytes(parallel_mlp.GetParameters(), serial_mlp.GetParameters());
+}
+
+// Replay on the default table: training an MLP gives the same bytes at 1, 2
+// and 4 threads. Batches of 50 (and a last one of 30) split into slices of
+// 13, 25 and 10 rows, so slice ends fall inside the AVX2 4-row tile.
+TEST_F(KernelDispatchTest, MlpTrainingIsReplayExactAcrossThreadCounts) {
+  MlpConfig mlp_config;
+  mlp_config.layer_sizes = {26, 128, 128, 16};
+  util::Rng data_rng(34);
+  Matrix x = RandomMatrix(430, 26, &data_rng);
+  Matrix y = RandomMatrix(430, 16, &data_rng);
+  TrainConfig train;
+  train.epochs = 3;
+  train.batch_size = 50;
+
+  std::vector<std::vector<double>> params;
+  std::vector<AlignedVector> predictions;
+  for (int threads : {1, 2, 4}) {
+    UseKernels(util::SimdMode::kAuto, threads);
+    ASSERT_STREQ(ActiveKernelName(), ExpectedAutoTable());
+    util::Rng rng(35);
+    Mlp mlp(mlp_config, &rng);
+    TrainRegressor(&mlp, x, y, train, &rng);
+    params.push_back(mlp.GetParameters());
+    predictions.push_back(mlp.Predict(x).data());
+  }
+  for (size_t i = 1; i < params.size(); ++i) {
+    ExpectSameBytes(params[i], params[0]);
+    ExpectSameBytes(predictions[i], predictions[0]);
+  }
+}
+
+// Replay across batch splits on the default table: a batched inference pass
+// gives each row the bytes of a 1-row pass (what lets the serving
+// micro-batcher coalesce requests without changing an estimate).
+TEST_F(KernelDispatchTest, MlpPredictIsReplayExactAcrossBatchSplits) {
+  MlpConfig mlp_config;
+  mlp_config.layer_sizes = {26, 128, 128, 1};
+  util::Rng rng(36);
+  Mlp mlp(mlp_config, &rng);
+  Matrix x = RandomMatrix(37, 26, &rng);
+
+  UseKernels(util::SimdMode::kAuto, 4);
+  Matrix batched = mlp.Predict(x);
+  for (size_t r = 0; r < x.rows(); ++r) {
+    Matrix row(1, x.cols());
+    row.CopyRowFrom(0, x, r);
+    ExpectSameBytes(mlp.Predict(row).data(), batched.Row(r));
+  }
 }
 
 TEST_F(KernelDispatchTest, CopyRowFromMatchesSetRow) {

@@ -1,10 +1,15 @@
 // The parallel matrix kernels must be bit-identical to their serial
-// counterparts: they split *output rows* across the pool while keeping the
-// per-element accumulation order unchanged, so equality is exact, not
-// approximate.
+// counterparts on every kernel table: they split *output rows* across the
+// pool while the installed table alone fixes each element's accumulation
+// order, so equality is exact, not approximate.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
+#include "nn/kernels.h"
 #include "nn/matrix.h"
+#include "util/cpu_features.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -19,6 +24,16 @@ Matrix RandomMatrix(size_t rows, size_t cols, util::Rng* rng) {
     }
   }
   return m;
+}
+
+// The kernel tables this host can run.
+std::vector<util::SimdMode> Tables() {
+  std::vector<util::SimdMode> tables = {util::SimdMode::kScalar};
+  if (util::BestSupportedSimdLevel() == util::SimdLevel::kAvx2 &&
+      internal::Avx2KernelsCompiled()) {
+    tables.push_back(util::SimdMode::kAvx2);
+  }
+  return tables;
 }
 
 // Installs a serial / parallel kernel policy for the duration of a test and
@@ -43,6 +58,35 @@ class MatrixParallelTest : public ::testing::Test {
     util::ThreadPool::Configure(config);
     SetMatrixParallelism(config);
   }
+
+  static void Use(util::SimdMode simd, int threads, size_t grain) {
+    util::ParallelConfig config;
+    config.threads = threads;
+    config.grain = grain;
+    config.simd = simd;
+    if (threads > 1) util::ThreadPool::Configure(config);
+    SetMatrixParallelism(config);
+  }
+
+  // On every table, `product` at grains 96 and 160 (3- and 5-row minimum
+  // slices) and 1, 2 and 4 threads gives the serial bytes. The shapes below
+  // put slice ends inside the AVX2 4-row tile: 131 output rows split
+  // 33/33/33/32 at 4 threads and 66/65 at 2; 19 rows split 5/5/5/4 (grain
+  // 96) or 7/7/5 (grain 160) at 4 threads and 10/9 at 2.
+  static void ExpectSplitInvariant(const std::function<Matrix()>& product) {
+    for (util::SimdMode simd : Tables()) {
+      Use(simd, 1, 256);
+      Matrix expected = product();
+      for (size_t grain : {96, 160}) {
+        for (int threads : {1, 2, 4}) {
+          Use(simd, threads, grain);
+          EXPECT_EQ(product().data(), expected.data())
+              << util::SimdModeName(simd) << " grain " << grain << " threads "
+              << threads;
+        }
+      }
+    }
+  }
 };
 
 TEST_F(MatrixParallelTest, PolicyReflectsConfig) {
@@ -53,41 +97,35 @@ TEST_F(MatrixParallelTest, PolicyReflectsConfig) {
 }
 
 // Shapes large enough to clear the min_madds threshold so the parallel path
-// actually runs (128·96·64 ≈ 786k madds > 2^17).
+// actually runs (131·96·64 ≈ 805k and 19·128·64 ≈ 156k madds > 2^17).
 TEST_F(MatrixParallelTest, MatMulBitIdentical) {
   util::Rng rng(7);
-  Matrix a = RandomMatrix(128, 96, &rng);
+  Matrix a = RandomMatrix(131, 96, &rng);
   Matrix b = RandomMatrix(96, 64, &rng);
-
-  UseSerial();
-  Matrix expected = a.MatMul(b);
-  UseParallel(4);
-  Matrix actual = a.MatMul(b);
-  EXPECT_EQ(actual.data(), expected.data());
+  ExpectSplitInvariant([&] { return a.MatMul(b); });
+  Matrix short_a = RandomMatrix(19, 128, &rng);
+  Matrix short_b = RandomMatrix(128, 64, &rng);
+  ExpectSplitInvariant([&] { return short_a.MatMul(short_b); });
 }
 
 TEST_F(MatrixParallelTest, TransposeMatMulBitIdentical) {
   util::Rng rng(8);
-  Matrix a = RandomMatrix(96, 128, &rng);
+  Matrix a = RandomMatrix(96, 131, &rng);
   Matrix b = RandomMatrix(96, 64, &rng);
-
-  UseSerial();
-  Matrix expected = a.TransposeMatMul(b);
-  UseParallel(4);
-  Matrix actual = a.TransposeMatMul(b);
-  EXPECT_EQ(actual.data(), expected.data());
+  ExpectSplitInvariant([&] { return a.TransposeMatMul(b); });
+  Matrix short_a = RandomMatrix(128, 19, &rng);
+  Matrix short_b = RandomMatrix(128, 64, &rng);
+  ExpectSplitInvariant([&] { return short_a.TransposeMatMul(short_b); });
 }
 
 TEST_F(MatrixParallelTest, MatMulTransposeBitIdentical) {
   util::Rng rng(9);
-  Matrix a = RandomMatrix(128, 96, &rng);
+  Matrix a = RandomMatrix(131, 96, &rng);
   Matrix b = RandomMatrix(64, 96, &rng);
-
-  UseSerial();
-  Matrix expected = a.MatMulTranspose(b);
-  UseParallel(4);
-  Matrix actual = a.MatMulTranspose(b);
-  EXPECT_EQ(actual.data(), expected.data());
+  ExpectSplitInvariant([&] { return a.MatMulTranspose(b); });
+  Matrix short_a = RandomMatrix(19, 128, &rng);
+  Matrix short_b = RandomMatrix(64, 128, &rng);
+  ExpectSplitInvariant([&] { return short_a.MatMulTranspose(short_b); });
 }
 
 TEST_F(MatrixParallelTest, RepeatedParallelRunsAreStable) {

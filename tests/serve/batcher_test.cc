@@ -38,8 +38,8 @@ std::vector<double> RandomFeatures(util::Rng* rng) {
 }
 
 TEST(MicroBatcherTest, BatchedMatchesDirectBitIdentical) {
-  // The default ParallelConfig is deterministic (scalar kernels), so an
-  // N-row pass must reproduce each 1-row pass bit for bit.
+  // Every kernel table is replay-exact across batch splits, so an N-row
+  // pass must reproduce each 1-row pass bit for bit.
   SnapshotStore store;
   store.Publish(MakeStubSnapshot(1, /*scale=*/3.7));
   MicroBatcher batcher(Config(/*batch_max=*/8), &store, kDim);

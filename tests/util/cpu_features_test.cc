@@ -41,5 +41,45 @@ TEST(CpuFeaturesTest, ParallelConfigValidatesSimdAgainstHardware) {
   }
 }
 
+bool Avx2Compiled() { return true; }
+bool Avx2Missing() { return false; }
+
+// Pins win over the env and the CPU; a binary without a layer's AVX2
+// kernels never resolves to them, whatever is asked.
+TEST(CpuFeaturesTest, ResolveSimdLevelHonorsPinsAndTheBinary) {
+  EXPECT_EQ(ResolveSimdLevel(SimdMode::kScalar, true), SimdLevel::kScalar);
+  EXPECT_EQ(ResolveSimdLevel(SimdMode::kAvx2, true), BestSupportedSimdLevel());
+  EXPECT_EQ(ResolveSimdLevel(SimdMode::kAvx2, false), SimdLevel::kScalar);
+  EXPECT_EQ(ResolveSimdLevel(SimdMode::kAuto, false), SimdLevel::kScalar);
+}
+
+struct FakeTable {
+  const char* name;
+};
+const FakeTable& FakeScalar() {
+  static const FakeTable table{"scalar"};
+  return table;
+}
+const FakeTable& FakeAvx2() {
+  static const FakeTable table{"avx2"};
+  return table;
+}
+
+TEST(CpuFeaturesTest, KernelTableSlotInstallsTheAutoTableAtFirstUse) {
+  KernelTableSlot<FakeTable> slot(&FakeScalar, &FakeAvx2, &Avx2Compiled);
+  const FakeTable& auto_table =
+      ResolveSimdLevel(SimdMode::kAuto, true) == SimdLevel::kAvx2
+          ? FakeAvx2()
+          : FakeScalar();
+  EXPECT_EQ(&slot.Get(), &auto_table);
+  slot.Install(SimdMode::kScalar);
+  EXPECT_EQ(&slot.Get(), &FakeScalar());
+
+  KernelTableSlot<FakeTable> scalar_only(&FakeScalar, &FakeAvx2, &Avx2Missing);
+  EXPECT_EQ(&scalar_only.Get(), &FakeScalar());
+  scalar_only.Install(SimdMode::kAvx2);
+  EXPECT_EQ(&scalar_only.Get(), &FakeScalar());
+}
+
 }  // namespace
 }  // namespace warper::util

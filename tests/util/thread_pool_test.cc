@@ -132,7 +132,7 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
 }
 
 TEST(ThreadPoolTest, ParallelForBitIdenticalOrderedReduction) {
-  // The contract behind deterministic=true: the partition is fixed, so
+  // The contract behind replay-exact kernels: the partition is fixed, so
   // per-chunk partial sums combined in chunk order give the same double on
   // every run — and match a serial pass over the same chunk boundaries.
   // (A chunked float sum cannot match a single-pass serial sum bit-for-bit;
